@@ -20,7 +20,9 @@ all: build vet test check
 # execution), and short fuzz smokes of the container index parser, the
 # 1D wavelet round-trip at both precisions, the record-frame codec, the gap-marker codec,
 # the level-offset table parser of the progressive (v4) layout, the
-# entropy coder round-trip, and the coefficient codec block decoders.
+# compressed-window deserializer, the entropy coder round-trip and its
+# block reader, the raw and DEFLATE-framed sparse block readers, and the
+# coefficient codec block decoders.
 check: vet fmt-check lint docscheck bench-smoke
 	$(GO) test -race ./internal/server ./internal/storage ./internal/compress ./internal/faultio ./internal/transform ./internal/core ./internal/par ./internal/codec ./internal/entropy ./internal/ingest ./internal/lint
 	GOMAXPROCS=1 $(GO) test ./internal/par ./internal/transform ./internal/compress ./internal/core ./internal/codec ./internal/entropy ./internal/ingest
@@ -30,7 +32,11 @@ check: vet fmt-check lint docscheck bench-smoke
 	$(GO) test -run=NONE -fuzz=FuzzRecordFrame -fuzztime=5s ./internal/core
 	$(GO) test -run=NONE -fuzz=FuzzGapMarker -fuzztime=5s ./internal/core
 	$(GO) test -run=NONE -fuzz=FuzzLevelTable -fuzztime=5s ./internal/core
+	$(GO) test -run=NONE -fuzz=FuzzReadCompressedWindow -fuzztime=5s ./internal/core
 	$(GO) test -run=NONE -fuzz=FuzzEntropyRoundtrip -fuzztime=5s ./internal/entropy
+	$(GO) test -run=NONE -fuzz=FuzzBlockRead -fuzztime=5s ./internal/entropy
+	$(GO) test -run=NONE -fuzz='FuzzReadSparseBlock$$' -fuzztime=5s ./internal/compress
+	$(GO) test -run=NONE -fuzz=FuzzReadDeflatedSparseBlock -fuzztime=5s ./internal/compress
 	$(GO) test -run=NONE -fuzz=FuzzCodecDecode -fuzztime=5s ./internal/codec
 
 # Domain-aware static analysis: ten analyzers proving the pipeline's

@@ -306,8 +306,10 @@ func dumpTrace(root *obs.Span, path string) error {
 	return nil
 }
 
-// compressToTarget buffers whole windows and chooses each window's ratio by
-// bisection so the reconstruction meets the NRMSE target.
+// compressToTarget buffers whole windows and chooses each window's ratio
+// so the reconstruction meets the NRMSE target: core.CompressToTarget
+// transforms the window once and runs a model-aimed, safeguarded search
+// over the ratio grid, verifying each probe on the encoded stream.
 func compressToTarget(cw *storage.ContainerWriter, opts core.Options, dims grid.Dims, paths []string, target float64) error {
 	windowSize := opts.WindowSize
 	if opts.Mode == core.Spatial3D {
@@ -327,8 +329,8 @@ func compressToTarget(cw *storage.ContainerWriter, opts core.Options, dims grid.
 		if _, err := cw.Append(win); err != nil {
 			return err
 		}
-		fmt.Printf("  window %d: ratio %g:1, NRMSE %.3e (target %.3e)\n",
-			windows, win.Opts.Ratio, achieved, target)
+		fmt.Printf("  window %d: ratio %g:1, NRMSE %.3e (target %.3e), %d probes\n",
+			windows, win.Opts.Ratio, achieved, target, win.Probes)
 		encoded += win.EncodedSizeBytes()
 		windows++
 		pending = grid.NewWindow(dims)

@@ -2,9 +2,12 @@ package compress
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
+	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -403,5 +406,74 @@ func TestReadDeflatedRejectsGarbage(t *testing.T) {
 	bad := append(hdr[:], 0xde, 0xad, 0xbe, 0xef)
 	if _, err := ReadDeflatedSparseBlock(bytes.NewReader(bad)); err == nil {
 		t.Error("expected error for invalid deflate payload")
+	}
+}
+
+// TestForgedLengthsAllocateByInput: lengths read from a header must not
+// reserve memory the input does not hold. Each forged input is a few
+// bytes long and claims gigabytes.
+func TestForgedLengthsAllocateByInput(t *testing.T) {
+	var forgedSparse [16]byte
+	binary.LittleEndian.PutUint64(forgedSparse[0:8], 1<<31-1) // 256 MiB bitmap
+	var bomb bytes.Buffer
+	{
+		var comp bytes.Buffer
+		fw, err := flate.NewWriter(&comp, flate.BestCompression)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fw.Write(forgedSparse[:]); err != nil {
+			t.Fatal(err)
+		}
+		if err := fw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var hdr [8]byte
+		binary.LittleEndian.PutUint64(hdr[:], uint64(comp.Len()))
+		bomb.Write(hdr[:])
+		bomb.Write(comp.Bytes())
+	}
+	cases := []struct {
+		name string
+		read func(io.Reader) (*SparseBlock, error)
+		in   []byte
+	}{
+		// A frame length of ~8.6 GB with 16 bytes behind it.
+		{"deflate frame length", ReadDeflatedSparseBlock,
+			[]byte("\x00\x00\x11\x00\x02\x00\x00\x00\x00\x00\x00\x00\x14\x00\x14\x00\x14\x00\xf4>\x01\x00\x00\x00")},
+		{"sparse bitmap length", ReadSparseBlock, forgedSparse[:]},
+		{"inflated bitmap length", ReadDeflatedSparseBlock, bomb.Bytes()},
+	}
+	for _, c := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := c.read(bytes.NewReader(c.in)); err == nil {
+			t.Errorf("%s: forged input accepted", c.name)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > 16<<20 {
+			t.Errorf("%s: %d-byte input allocated %d bytes", c.name, len(c.in), got)
+		}
+	}
+}
+
+func TestReadSizedGrowsPastChunk(t *testing.T) {
+	n := 2*sizedChunk + 3
+	src := make([]byte, n)
+	for i := range src {
+		src[i] = byte(i * 7)
+	}
+	got, err := readSized(bytes.NewReader(src), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, src) {
+		t.Fatal("readSized returned different bytes")
+	}
+	if _, err := readSized(bytes.NewReader(src[:n-1]), n); err != io.ErrUnexpectedEOF {
+		t.Fatalf("truncated input: got %v, want io.ErrUnexpectedEOF", err)
+	}
+	if _, err := readSized(bytes.NewReader(nil), n); err != io.ErrUnexpectedEOF {
+		t.Fatalf("empty input: got %v, want io.ErrUnexpectedEOF", err)
 	}
 }

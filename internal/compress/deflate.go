@@ -44,8 +44,16 @@ func (b *SparseBlock) WriteDeflated(w io.Writer) (int64, error) {
 	return 8 + int64(n), err
 }
 
+// maxSparseBlockBytes is the serialized size of the largest sparse block
+// ReadSparseBlock accepts (2^31-1 samples, all retained): no legal
+// deflate frame inflates to more.
+const maxSparseBlockBytes = 16 + (1<<31-1+7)/8 + 4*(1<<31-1)
+
 // ReadDeflatedSparseBlock reads one framed DEFLATE block written by
-// WriteDeflated. It consumes exactly the frame's bytes from r.
+// WriteDeflated. It consumes exactly the frame's bytes from r. The frame
+// is buffered as its bytes arrive and inflated straight into the block
+// parser, so neither a forged frame length nor a deflate bomb can
+// allocate more than the input and the block header it carries justify.
 func ReadDeflatedSparseBlock(r io.Reader) (*SparseBlock, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -55,17 +63,31 @@ func ReadDeflatedSparseBlock(r io.Reader) (*SparseBlock, error) {
 	if n > 1<<40 {
 		return nil, fmt.Errorf("compress: implausible deflate frame size %d", n)
 	}
-	comp := make([]byte, n)
-	if _, err := io.ReadFull(r, comp); err != nil {
-		return nil, fmt.Errorf("compress: reading deflate frame: %w", err)
+	var comp bytes.Buffer
+	if got, err := io.CopyN(&comp, r, int64(n)); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, fmt.Errorf("compress: reading deflate frame (%d of %d bytes): %w", got, n, err)
 	}
-	fr := flate.NewReader(bytes.NewReader(comp))
+	fr := flate.NewReader(&comp)
 	defer fr.Close()
-	raw, err := io.ReadAll(fr)
+	inflated := io.LimitReader(fr, maxSparseBlockBytes)
+	b, err := ReadSparseBlock(inflated)
 	if err != nil {
 		return nil, fmt.Errorf("compress: inflating block: %w", err)
 	}
-	return ReadSparseBlock(bytes.NewReader(raw))
+	// The frame must inflate to exactly one block. WriteDeflated never
+	// writes more, and draining an unbounded tail would let a bomb burn
+	// CPU where it can no longer burn memory.
+	var extra [1]byte
+	if m, err := io.ReadFull(fr, extra[:]); m != 0 || err != io.EOF {
+		if err == nil || err == io.ErrUnexpectedEOF {
+			err = fmt.Errorf("trailing bytes after the sparse block")
+		}
+		return nil, fmt.Errorf("compress: inflating block: %w", err)
+	}
+	return b, nil
 }
 
 // DeflatedSizeBytes returns the framed DEFLATE size of the block without

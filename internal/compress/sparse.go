@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"stwave/internal/fbits"
 	"stwave/internal/par"
@@ -313,13 +314,11 @@ func ReadSparseBlock(r io.Reader) (*SparseBlock, error) {
 	}
 	total := int(totalU)
 	k := int(kU)
-	b := &SparseBlock{
-		Total:  total,
-		Bitmap: make([]byte, (total+7)/8),
-	}
-	if _, err := io.ReadFull(r, b.Bitmap); err != nil {
+	bitmap, err := readSized(r, (total+7)/8)
+	if err != nil {
 		return nil, fmt.Errorf("compress: reading bitmap: %w", err)
 	}
+	b := &SparseBlock{Total: total, Bitmap: bitmap}
 	// Validate population count against k before allocating the values.
 	pop := 0
 	for _, byteV := range b.Bitmap {
@@ -328,15 +327,50 @@ func ReadSparseBlock(r io.Reader) (*SparseBlock, error) {
 	if pop != k {
 		return nil, fmt.Errorf("compress: bitmap popcount %d != retained count %d", pop, k)
 	}
-	b.Values = make([]float32, k)
-	raw := make([]byte, 4*k)
-	if _, err := io.ReadFull(r, raw); err != nil {
+	raw, err := readSized(r, 4*k)
+	if err != nil {
 		return nil, fmt.Errorf("compress: reading %d values: %w", k, err)
 	}
+	b.Values = make([]float32, k)
 	for i := range b.Values {
 		b.Values[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
 	}
 	return b, nil
+}
+
+// sizedChunk is the largest read readSized serves with one up-front
+// allocation: the bitmap of any grid up to 256³, and the values of up to
+// a million retained coefficients, read exactly as before.
+const sizedChunk = 1 << 22
+
+// readSized reads exactly n bytes from r. Beyond sizedChunk the buffer
+// grows geometrically with the bytes that actually arrive, so a forged
+// length in a 16-byte header cannot reserve more memory than the input
+// holds.
+func readSized(r io.Reader, n int) ([]byte, error) {
+	if n <= sizedChunk {
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return nil, err
+		}
+		return buf, nil
+	}
+	buf := make([]byte, 0, sizedChunk)
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(len(buf), n-len(buf)))
+		}
+		end := min(cap(buf), n)
+		got, err := io.ReadFull(r, buf[len(buf):end])
+		buf = buf[:len(buf)+got]
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 func popcount(b byte) int {

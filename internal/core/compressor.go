@@ -77,6 +77,11 @@ type CompressedWindow struct {
 	// are not serialized. Zero when Ratio-mode thresholding was used.
 	MaxErrAchieved    float64
 	ROIMaxErrAchieved float64
+	// Probes counts the verified encodings CompressToTarget ran to settle
+	// on this window's ratio, each a threshold, encode, decode and
+	// inverse transform of the window. Informational only: not
+	// serialized. Zero for windows from the other rate modes.
+	Probes int
 }
 
 // NumSlices returns the number of time slices in the window.
@@ -100,6 +105,20 @@ func (cw *CompressedWindow) eachBlock(fn func(codec.Block)) {
 			fn(b)
 		}
 	}
+}
+
+// sliceTimes returns a fresh copy of the window's timeline, numbering by
+// position any slice that Times does not cover.
+func (cw *CompressedWindow) sliceTimes() []float64 {
+	t := cw.NumSlices()
+	times := make([]float64, t)
+	for i := range times {
+		times[i] = float64(i)
+		if i < len(cw.Times) {
+			times[i] = cw.Times[i]
+		}
+	}
+	return times
 }
 
 // Codec returns the coefficient backend the window's blocks belong to.
@@ -223,17 +242,10 @@ func compressWindowOf[F num.Float](ctx context.Context, c *Compressor, w *grid.W
 	t, s := w.Len(), w.Dims.Len()
 	slab := scratch.FloatsOf[F](t * s)
 	defer scratch.PutFloatsOf(slab)
-	fields := make([]grid.Field3DOf[F], t)
-	slices := make([]*grid.Field3DOf[F], t)
-	datas := make([][]F, t)
-	for i := range fields {
-		d := slab[i*s : (i+1)*s : (i+1)*s]
+	work, datas := slabWindow(slab, w.Dims, t, w.Times)
+	for i, d := range datas {
 		copy(d, w.Slices[i].Data)
-		fields[i] = grid.Field3DOf[F]{Dims: w.Dims, Data: d}
-		slices[i] = &fields[i]
-		datas[i] = d
 	}
-	work := &grid.WindowOf[F]{Dims: w.Dims, Slices: slices, Times: w.Times}
 	spec := c.opts.spec(work.Dims, work.Len())
 	workers := par.Workers(c.opts.Workers)
 	rawBytes := int64(work.TotalSamples()) * int64(num.SampleBytes[F]())
@@ -262,14 +274,12 @@ func compressWindowOf[F num.Float](ctx context.Context, c *Compressor, w *grid.W
 		if !okW || !okD {
 			return nil, fmt.Errorf("core: error-bounded mode (MaxErr) requires the float64 pipeline")
 		}
-		_, spTh := obs.Start(ctx, "core.threshold_maxerr")
-		start := time.Now()
-		err := c.thresholdMaxErr(w64, datas64, spec, workers, cw)
+		mctx, spTh := obs.Start(ctx, "core.threshold_maxerr")
+		err := c.thresholdMaxErr(mctx, w64, datas64, spec, workers, cw)
 		spTh.End()
 		if err != nil {
 			return nil, err
 		}
-		observeThroughput("compress.threshold_mb_per_s", rawBytes, time.Since(start))
 	} else {
 		_, spTh := obs.Start(ctx, "core.threshold")
 		start := time.Now()
@@ -368,31 +378,18 @@ func decompressOf[F num.Float](ctx context.Context, cw *CompressedWindow) (*grid
 	// The result window is carved from a single backing slab: the caller
 	// owns it, so it cannot come from the pool, but one allocation replaces
 	// one per slice and the blocks decode into it in parallel.
-	slab := make([]F, t*s)
-	fields := make([]grid.Field3DOf[F], t)
-	slices := make([]*grid.Field3DOf[F], t)
-	times := make([]float64, t)
+	w, datas := slabWindow(make([]F, t*s), cw.Dims, t, cw.sliceTimes())
 	workers := par.Workers(cw.Opts.Workers)
 	errs := make([]error, t)
 	outer, inner := par.Split(workers, t)
 	par.For(t, outer, 1, func(start, end int) {
 		for i := start; i < end; i++ {
-			d := slab[i*s : (i+1)*s : (i+1)*s]
-			errs[i] = decodeBlockIntoOf(cw.Blocks[i], d, inner)
-			fields[i] = grid.Field3DOf[F]{Dims: cw.Dims, Data: d}
-			slices[i] = &fields[i]
-			times[i] = float64(i)
-			if cw.Times != nil && i < len(cw.Times) {
-				times[i] = cw.Times[i]
-			}
+			errs[i] = decodeBlockIntoOf(cw.Blocks[i], datas[i], inner)
 		}
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := firstErr(errs); err != nil {
+		return nil, err
 	}
-	w := &grid.WindowOf[F]{Dims: cw.Dims, Slices: slices, Times: times}
 	spDec.End()
 	decElapsed := time.Since(start)
 	rawBytes := int64(w.TotalSamples()) * int64(num.SampleBytes[F]())

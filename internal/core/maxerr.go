@@ -1,13 +1,12 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
-	"stwave/internal/codec"
 	"stwave/internal/grid"
 	"stwave/internal/par"
-	"stwave/internal/scratch"
 	"stwave/internal/transform"
 )
 
@@ -147,13 +146,12 @@ func temporalDepths(t, levels int) []int {
 }
 
 // thresholdMaxErr runs the error-bounded threshold-encode-verify loop
-// over the transformed coefficients in datas, filling cw's block layout
+// over the transformed coefficients in coeffs, filling cw's block layout
 // (progressive or slice-major per Options) with the verified encoding
 // and recording the achieved error maxima. orig is the untransformed
-// window the bound is measured against; datas are consumed as scratch.
-func (c *Compressor) thresholdMaxErr(orig *grid.Window, datas [][]float64, spec transform.Spec, workers int, cw *CompressedWindow) error {
+// window the bound is measured against; coeffs are left unchanged.
+func (c *Compressor) thresholdMaxErr(ctx context.Context, orig *grid.Window, coeffs [][]float64, spec transform.Spec, workers int, cw *CompressedWindow) error {
 	dims := orig.Dims
-	t, s := len(datas), dims.Len()
 	levels := spec.SpatialLevels
 	roi := c.opts.ROI
 	if roi != nil && (roi.X1 > dims.Nx || roi.Y1 > dims.Ny || roi.Z1 > dims.Nz) {
@@ -161,7 +159,7 @@ func (c *Compressor) thresholdMaxErr(orig *grid.Window, datas [][]float64, spec 
 			roi.X0, roi.X1, roi.Y0, roi.Y1, roi.Z0, roi.Z1, dims)
 	}
 	class := classifySpatial(dims, levels, roi)
-	et := temporalDepths(t, spec.TemporalLevels)
+	et := temporalDepths(len(coeffs), spec.TemporalLevels)
 
 	// gain[e] = sqrt(2)^e: the amplitude a unit sample contributes to a
 	// band with combined spatial+temporal depth e, used to translate the
@@ -174,93 +172,41 @@ func (c *Compressor) thresholdMaxErr(orig *grid.Window, datas [][]float64, spec 
 		gain[e] = math.Pow(math.Sqrt2, float64(e))
 	}
 
-	saved := scratch.Floats(t * s)
-	defer scratch.PutFloats(saved)
-	for i, d := range datas {
-		copy(saved[i*s:(i+1)*s], d)
-	}
-	vslab := scratch.Floats(t * s)
-	defer scratch.PutFloats(vslab)
-	vfields := make([]grid.Field3D, t)
-	vslices := make([]*grid.Field3D, t)
-	vdatas := make([][]float64, t)
-	for i := range vfields {
-		d := vslab[i*s : (i+1)*s : (i+1)*s]
-		vfields[i] = grid.Field3D{Dims: dims, Data: d}
-		vslices[i] = &vfields[i]
-		vdatas[i] = d
-	}
-	vw := &grid.Window{Dims: dims, Slices: vslices, Times: orig.Times}
-
-	cdc := c.opts.codec()
+	v := newVerifier(c.opts, orig, coeffs, spec)
+	defer v.release()
 	tauBG := c.opts.MaxErr / 2
 	tauROI := 0.0
 	if roi != nil {
 		tauROI = roi.MaxErr / 2
 	}
-	var bgMax, roiMax float64
-	roiTightenings := 0
-	for iter := 0; iter < maxErrIters; iter++ {
-		// Restore the full coefficient set and drop everything under the
-		// current per-class thresholds.
-		par.For(t, workers, 1, func(start, end int) {
+	// Drop everything under the current per-class thresholds.
+	threshold := func(datas [][]float64) error {
+		par.For(len(datas), workers, 1, func(start, end int) {
 			for i := start; i < end; i++ {
 				d := datas[i]
-				copy(d, saved[i*s:(i+1)*s])
 				te := et[i]
-				for j, v := range d {
+				for j, val := range d {
 					cl := class[j]
 					tau := tauBG
 					if cl&roiClassBit != 0 {
 						tau = tauROI
 					}
-					if math.Abs(v) <= tau*gain[3*int(cl&depthMask)+te] {
+					if math.Abs(val) <= tau*gain[3*int(cl&depthMask)+te] {
 						d[j] = 0
 					}
 				}
 			}
 		})
-
-		// Encode exactly as the window will be stored, then decode the
-		// encoded blocks back: the verified stream is the written stream.
-		var blocks []codec.Block
-		var levelBlocks [][]codec.Block
-		var err error
-		if c.opts.Progressive {
-			levelBlocks, err = encodeProgressiveOf(cdc, datas, dims, levels, workers)
-		} else {
-			blocks, err = cdc.EncodeSlices(datas, workers)
-			if err != nil {
-				err = fmt.Errorf("core: %s encode: %w", cdc.Name(), err)
-			}
-		}
+		return nil
+	}
+	var bgMax, roiMax float64
+	roiTightenings := 0
+	for iter := 0; iter < maxErrIters; iter++ {
+		blocks, levelBlocks, err := v.probe(ctx, workers, threshold)
 		if err != nil {
 			return err
 		}
-		if c.opts.Progressive {
-			tmp := &CompressedWindow{Dims: dims, Opts: c.opts, SpatialLevels: levels, LevelBlocks: levelBlocks}
-			if err := scatterLevels(tmp, vdatas, dims, 0, levels, workers); err != nil {
-				return err
-			}
-		} else {
-			errs := make([]error, t)
-			outer, inner := par.Split(workers, t)
-			par.For(t, outer, 1, func(start, end int) {
-				for i := start; i < end; i++ {
-					errs[i] = blocks[i].DecodeInto(vdatas[i], inner)
-				}
-			})
-			for _, derr := range errs {
-				if derr != nil {
-					return derr
-				}
-			}
-		}
-		if err := transform.Inverse4D(vw, spec); err != nil {
-			return fmt.Errorf("core: verification inverse transform: %w", err)
-		}
-
-		bgMax, roiMax = measureMaxErr(orig, vw, roi, workers)
+		bgMax, roiMax = measureMaxErr(orig, v.recon, roi, workers)
 		bgOK := bgMax <= c.opts.MaxErr
 		roiOK := roi == nil || roiMax <= roi.MaxErr
 		if bgOK && roiOK {
@@ -290,7 +236,7 @@ func (c *Compressor) thresholdMaxErr(orig *grid.Window, datas [][]float64, spec 
 		}
 	}
 	return fmt.Errorf("core: error bound unreachable for codec %s (achieved background %g > %g or ROI %g): "+
-		"the codec's quantization floor may exceed the requested bound", cdc.Name(), bgMax, c.opts.MaxErr, roiMax)
+		"the codec's quantization floor may exceed the requested bound", c.opts.codec().Name(), bgMax, c.opts.MaxErr, roiMax)
 }
 
 // measureMaxErr returns the maximum absolute sample error outside and

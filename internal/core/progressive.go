@@ -422,12 +422,7 @@ func scatterLevels[F num.Float](cw *CompressedWindow, datas [][]F, sub grid.Dims
 			}
 		}
 	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return firstErr(errs)
 }
 
 // approxRescale undoes the approximation band's per-level sqrt(2)^3
@@ -504,25 +499,10 @@ func decompressLevelsOf[F num.Float](ctx context.Context, cw *CompressedWindow, 
 	sub := transform.CoarseDims(cw.Dims, L-maxLevel)
 	t, s := cw.NumSlices(), sub.Len()
 	workers := par.Workers(cw.Opts.Workers)
-	slab := make([]F, t*s)
-	fields := make([]grid.Field3DOf[F], t)
-	slices := make([]*grid.Field3DOf[F], t)
-	datas := make([][]F, t)
-	times := make([]float64, t)
-	for i := range fields {
-		d := slab[i*s : (i+1)*s : (i+1)*s]
-		fields[i] = grid.Field3DOf[F]{Dims: sub, Data: d}
-		slices[i] = &fields[i]
-		datas[i] = d
-		times[i] = float64(i)
-		if cw.Times != nil && i < len(cw.Times) {
-			times[i] = cw.Times[i]
-		}
-	}
+	w, datas := slabWindow(make([]F, t*s), sub, t, cw.sliceTimes())
 	if err := scatterLevels(cw, datas, sub, 0, maxLevel, workers); err != nil {
 		return nil, err
 	}
-	w := &grid.WindowOf[F]{Dims: sub, Slices: slices, Times: times}
 	spec := transform.Spec{
 		SpatialKernel:  cw.Opts.SpatialKernel,
 		SpatialLevels:  maxLevel,
@@ -583,21 +563,7 @@ func (r *Refiner) Advance(toLevel int) error {
 	sub := transform.CoarseDims(r.cw.Dims, L-toLevel)
 	t, s := r.cw.NumSlices(), sub.Len()
 	workers := r.workers
-	slab := make([]float64, t*s)
-	fields := make([]grid.Field3D, t)
-	slices := make([]*grid.Field3D, t)
-	datas := make([][]float64, t)
-	times := make([]float64, t)
-	for i := range fields {
-		d := slab[i*s : (i+1)*s : (i+1)*s]
-		fields[i] = grid.Field3D{Dims: sub, Data: d}
-		slices[i] = &fields[i]
-		datas[i] = d
-		times[i] = float64(i)
-		if r.cw.Times != nil && i < len(r.cw.Times) {
-			times[i] = r.cw.Times[i]
-		}
-	}
+	coeff, datas := slabWindow(make([]float64, t*s), sub, t, r.cw.sliceTimes())
 	if r.coeff != nil {
 		// Carry the already-decoded coarse cube into the corner of the
 		// finer layout: coefficient coordinates are resolution-stable in
@@ -617,7 +583,7 @@ func (r *Refiner) Advance(toLevel int) error {
 	if err := scatterLevels(r.cw, datas, sub, r.level+1, toLevel, workers); err != nil {
 		return err
 	}
-	r.coeff = &grid.Window{Dims: sub, Slices: slices, Times: times}
+	r.coeff = coeff
 	r.level = toLevel
 	return nil
 }

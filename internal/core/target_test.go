@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
 	"stwave/internal/grid"
 	"stwave/internal/metrics"
+	"stwave/internal/obs"
 )
 
 func TestCompressToTargetMeetsBound(t *testing.T) {
@@ -65,8 +67,31 @@ func TestCompressToTargetUnreachable(t *testing.T) {
 	if err == nil {
 		t.Fatalf("expected unreachable-target error, got NRMSE %g", achieved)
 	}
-	if cw == nil {
-		t.Error("unreachable target must still return the best-effort window")
+	if cw == nil || cw.Opts.Ratio != 64 {
+		t.Fatalf("unreachable target must still return the minimum-ratio window, got %+v", cw)
+	}
+	// It is the window a plain compress at the minimum ratio writes, with
+	// that window's measured NRMSE.
+	opts.Ratio = 64
+	comp, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recon, want, err := comp.RoundTrip(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(serializeWindow(t, cw), serializeWindow(t, want)) {
+		t.Error("unreachable-target window differs from a plain compress at the minimum ratio")
+	}
+	ac := metrics.NewAccumulator()
+	for i := range w.Slices {
+		if err := ac.Add(w.Slices[i].Data, recon.Slices[i].Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ac.NRMSE() != achieved {
+		t.Errorf("reported NRMSE %g, measured %g", achieved, ac.NRMSE())
 	}
 }
 
@@ -83,6 +108,10 @@ func TestCompressToTargetValidation(t *testing.T) {
 	}
 	if _, _, err := CompressToTarget(opts, w, 1e-3, 128, 8); err == nil {
 		t.Error("expected error for inverted range")
+	}
+	opts.MaxErr = 1e-2
+	if _, _, err := CompressToTarget(opts, w, 1e-3, 1, 64); err == nil {
+		t.Error("MaxErr with a target NRMSE accepted")
 	}
 }
 
@@ -163,5 +192,41 @@ func TestDecompressSliceValidation(t *testing.T) {
 	}
 	if _, err := DecompressSlice(cw, 5); err == nil {
 		t.Error("expected error for out-of-range index")
+	}
+}
+
+// TestCompressToTargetRecordsProbes: every probe records the registry
+// signals of one compress and one decompress, and the probe count lands
+// in the window and in the core.target_probes histogram.
+func TestCompressToTargetRecordsProbes(t *testing.T) {
+	w := coherentWindow(grid.Dims{Nx: 12, Ny: 12, Nz: 12}, 8, 0.2)
+	opts := DefaultOptions()
+	opts.WindowSize = 8
+	reg := obs.Default()
+	before := reg.Snapshot()
+	cw, _, err := CompressToTarget(opts, w, 1e-3, 1, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := reg.Snapshot()
+	if cw.Probes < 1 || cw.Probes > 2*8+1 {
+		t.Fatalf("window reports %d probes", cw.Probes)
+	}
+	for _, name := range []string{"core.compress_windows_total", "core.decompress_windows_total"} {
+		if got := after.Counters[name] - before.Counters[name]; got != int64(cw.Probes) {
+			t.Errorf("%s rose by %d over %d probes", name, got, cw.Probes)
+		}
+	}
+	for _, name := range []string{"compress.threshold_mb_per_s", "compress.encode_mb_per_s", "compress.decode_mb_per_s"} {
+		if got := after.Histograms[name].Count - before.Histograms[name].Count; got != int64(cw.Probes) {
+			t.Errorf("%s gained %d samples over %d probes", name, got, cw.Probes)
+		}
+	}
+	h := after.Histograms["core.target_probes"]
+	if got := h.Count - before.Histograms["core.target_probes"].Count; got != 1 {
+		t.Errorf("core.target_probes gained %d samples, want 1", got)
+	}
+	if got := h.Sum - before.Histograms["core.target_probes"].Sum; got != float64(cw.Probes) {
+		t.Errorf("core.target_probes sum rose by %g, want %d", got, cw.Probes)
 	}
 }

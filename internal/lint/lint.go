@@ -162,6 +162,10 @@ func DefaultConfig() Config {
 			// construction and reuses it across Advance/Materialize.
 			"internal/core.decompressLevelsOf",
 			"internal/core.NewRefiner",
+			// The target-NRMSE search transforms, thresholds, encodes
+			// and verifies a window itself, once per probe: it is the
+			// compress entry point of its rate mode.
+			"internal/core.CompressToTarget",
 			"internal/transform.Workers",
 			// Server construction owns its resource envelope: the
 			// decompress semaphore is sized once, not per request.
